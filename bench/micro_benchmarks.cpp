@@ -97,6 +97,54 @@ void BM_ProtocolRound(benchmark::State& state) {
 }
 BENCHMARK(BM_ProtocolRound)->Unit(benchmark::kMicrosecond);
 
+/// The steady state the sweeps run in: one Gcs at 64 processes, reused
+/// across iterations and warmed through 8 partition/merge cycles of the
+/// lower half so every pooled buffer has reached capacity.  An iteration is
+/// one more such cycle; only its message rounds are timed and counted.
+/// items_per_second is protocol rounds per second, and allocs_per_round is
+/// the per-algorithm steady-state allocation figure (the allocation tests
+/// pin its ceiling).  Registered per algorithm in main(); simple majority
+/// sends no protocol traffic, so it has no round to time.
+void BM_ProtocolRoundWarm(benchmark::State& state, AlgorithmKind kind) {
+  constexpr std::size_t kProcesses = 64;
+  Gcs gcs(kind, kProcesses);
+  ProcessSet lower_half(kProcesses);
+  for (ProcessId p = 0; p < kProcesses / 2; ++p) lower_half.insert(p);
+  const auto settle = [&] {
+    std::uint64_t rounds = 0;
+    while (gcs.step_round() && rounds < 1000) ++rounds;
+    return rounds;
+  };
+  for (int cycle = 0; cycle < 8; ++cycle) {
+    gcs.apply_partition(0, lower_half);
+    settle();
+    gcs.apply_merge(0, 1);
+    settle();
+  }
+
+  std::uint64_t allocs = 0;
+  std::uint64_t rounds = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    gcs.apply_partition(0, lower_half);
+    state.ResumeTiming();
+    std::uint64_t before = thread_allocations();
+    rounds += settle();
+    allocs += thread_allocations() - before;
+    state.PauseTiming();
+    gcs.apply_merge(0, 1);
+    state.ResumeTiming();
+    before = thread_allocations();
+    rounds += settle();
+    allocs += thread_allocations() - before;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(rounds));
+  if (alloc_hook_linked() && rounds > 0) {
+    state.counters["allocs_per_round"] =
+        static_cast<double>(allocs) / static_cast<double>(rounds);
+  }
+}
+
 void BM_FullRun(benchmark::State& state) {
   const auto kind = static_cast<AlgorithmKind>(state.range(0));
   std::uint64_t iteration = 0;
@@ -229,6 +277,15 @@ std::string microbench_manifest_json(
 }  // namespace dynvote
 
 int main(int argc, char** argv) {
+  for (const dynvote::AlgorithmKind kind :
+       {dynvote::AlgorithmKind::kYkd, dynvote::AlgorithmKind::kDfls,
+        dynvote::AlgorithmKind::kOnePending, dynvote::AlgorithmKind::kMr1p}) {
+    const std::string name = "BM_ProtocolRoundWarm/" +
+                             std::string(dynvote::to_string(kind));
+    benchmark::RegisterBenchmark(name.c_str(), dynvote::BM_ProtocolRoundWarm,
+                                 kind)
+        ->Unit(benchmark::kMicrosecond);
+  }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   dynvote::ManifestCollector reporter;

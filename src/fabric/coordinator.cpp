@@ -316,9 +316,6 @@ struct Coordinator::Impl {
           static_cast<double>(outcome.result.total_deliveries) /
           outcome.compute_seconds;
     }
-    // The allocation probe lives inside the in-process runner; fabric
-    // manifests simply omit the field (negative sentinel).
-    outcome.steady_allocs_per_round = -1.0;
 
     CaseTelemetry case_telemetry;
     case_telemetry.label = case_label(sweep_case);

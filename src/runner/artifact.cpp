@@ -53,8 +53,8 @@ void case_json(JsonWriter& json, const CaseOutcome& outcome,
   // Model-scoped fingerprints: the block names the fault model and its
   // parameters, and it is part of the results document -- a sleepy sweep
   // can never fingerprint-match a geometric one.  Geometric cases omit the
-  // block entirely (same discipline as steady_allocs_per_round) so every
-  // pre-existing baseline fingerprint is preserved bit-for-bit.
+  // block entirely so every pre-existing baseline fingerprint is preserved
+  // bit-for-bit.
   if (spec.fault_model.kind != FaultModelKind::kGeometric) {
     const FaultModelParams& model = spec.fault_model;
     json.key("fault_model").begin_object();
@@ -104,37 +104,8 @@ void case_json(JsonWriter& json, const CaseOutcome& outcome,
     // every pre-existing fingerprint for unchanged simulation results.
     json.key("total_deliveries").value(r.total_deliveries);
     json.key("deliveries_per_sec").value(outcome.deliveries_per_sec);
-    if (outcome.steady_allocs_per_round >= 0.0) {
-      json.key("steady_allocs_per_round")
-          .value(outcome.steady_allocs_per_round);
-    }
     json.key("shards").value(static_cast<std::uint64_t>(outcome.shards));
     json.key("steals").value(static_cast<std::uint64_t>(outcome.steals));
-    // Batched-engine telemetry (fresh-start cases only).  Strictly
-    // volatile: batching is proven fingerprint-invisible, so none of this
-    // may enter the results document.
-    if (outcome.batch.runs > 0) {
-      const BatchTelemetry& batch = outcome.batch;
-      json.key("batch").begin_object();
-      json.key("batch_width").value(batch.batch_width);
-      json.key("prefix_hits").value(batch.prefix_hits);
-      json.key("prefix_misses").value(batch.prefix_misses);
-      const std::uint64_t started = batch.prefix_hits + batch.prefix_misses;
-      json.key("prefix_hit_rate")
-          .value(started == 0 ? 0.0
-                              : static_cast<double>(batch.prefix_hits) /
-                                    static_cast<double>(started));
-      json.key("prefix_rounds_adopted").value(batch.prefix_rounds_adopted);
-      json.key("ff_rounds_skipped").value(batch.ff_rounds_skipped);
-      const std::uint64_t population =
-          batch.runs * static_cast<std::uint64_t>(spec.processes);
-      json.key("mean_end_component_fraction")
-          .value(population == 0
-                     ? 0.0
-                     : static_cast<double>(batch.end_component_members) /
-                           static_cast<double>(population));
-      json.end_object();
-    }
   }
   json.end_object();
 }

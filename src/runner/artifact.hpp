@@ -29,9 +29,6 @@
 //                  "total_changes": .., "compute_seconds": ..,
 //                  "runs_per_sec": .., "rounds_per_sec": ..,
 //                  "total_deliveries": .., "deliveries_per_sec": ..,
-//                  "steady_allocs_per_round": ..,   <- only when the
-//                                counting allocator is linked (see
-//                                util/alloc_stats.hpp)
 //                  "shards": .., "steals": .. }, ... ],
 //     "observability": { "counters": {name: value, ...},
 //                        "gauges": {name: value, ...},
@@ -53,7 +50,7 @@
 //   }
 //
 // v3 adds the perf telemetry block (rounds_per_sec, total_deliveries,
-// deliveries_per_sec, steady_allocs_per_round) to each case.
+// deliveries_per_sec) to each case.
 //
 // Everything timing- or scheduling-flavored (created_unix, git_describe,
 // jobs, wall_seconds, compute_seconds, the per-sec rates, allocation

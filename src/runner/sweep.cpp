@@ -10,12 +10,10 @@
 #include <sstream>
 #include <thread>
 
-#include "gcs/gcs.hpp"
 #include "obs/trace.hpp"
 #include "runner/artifact.hpp"
 #include "runner/thread_pool.hpp"
 #include "sim/table.hpp"
-#include "util/alloc_stats.hpp"
 #include "util/assert.hpp"
 #include "util/env.hpp"
 #include "util/logging.hpp"
@@ -45,47 +43,6 @@ std::uint64_t shard_size_for(std::uint64_t runs, std::size_t jobs,
   const std::uint64_t floor = shard_floor(min_shard_runs);
   const std::uint64_t target = runs / (static_cast<std::uint64_t>(jobs) * 4);
   return std::max(floor, target);
-}
-
-/// Steady-state allocation rate of the round loop for this case's
-/// algorithm at its process count.  A probe world is warmed through a few
-/// partition/merge cycles (so every pooled buffer reaches capacity), then
-/// only the step_round sections of further cycles are measured -- the same
-/// slice of work BM_ProtocolRound times.  Needs the counting allocator
-/// (dv_alloc_hook) linked into the binary; returns a negative sentinel
-/// when it is not, or when the case cannot partition.
-double probe_steady_allocs_per_round(const CaseSpec& cs) {
-  if (!alloc_hook_linked() || cs.processes < 2) return -1.0;
-
-  Gcs gcs = cs.algorithm_factory != nullptr
-                ? Gcs(cs.algorithm_factory, cs.processes)
-                : Gcs(cs.algorithm, cs.processes);
-  ProcessSet lower_half(cs.processes);
-  for (ProcessId p = 0; p < cs.processes / 2; ++p) lower_half.insert(p);
-
-  std::uint64_t measured_allocs = 0;
-  std::uint64_t measured_rounds = 0;
-  const auto settle = [&](bool measure) {
-    const std::uint64_t before = thread_allocations();
-    std::uint64_t rounds = 0;
-    while (gcs.step_round() && rounds < 1000) ++rounds;
-    if (measure) {
-      measured_allocs += thread_allocations() - before;
-      measured_rounds += rounds;
-    }
-  };
-  constexpr int kWarmupCycles = 8;
-  constexpr int kMeasuredCycles = 4;
-  for (int cycle = 0; cycle < kWarmupCycles + kMeasuredCycles; ++cycle) {
-    const bool measure = cycle >= kWarmupCycles;
-    gcs.apply_partition(0, lower_half);
-    settle(measure);
-    gcs.apply_merge(0, 1);
-    settle(measure);
-  }
-  if (measured_rounds == 0) return -1.0;
-  return static_cast<double>(measured_allocs) /
-         static_cast<double>(measured_rounds);
 }
 
 /// Spill-arena telemetry scoped to this sweep: the monotone counters are
@@ -240,9 +197,6 @@ struct CaseState {
   std::uint64_t cascade_shard_size = 0;
   std::vector<CascadeCheckpoint> checkpoints;
   std::vector<ShardPartial> partials;
-  /// Batched-engine telemetry summed over fresh-start shards; merged under
-  /// the scheduler lock alongside the partials.
-  BatchTelemetry batch;
   double compute_seconds = 0.0;
   std::uint64_t finished_runs = 0;   // dvlint: guarded_by(scheduler_mutex)
   std::size_t steals = 0;            // dvlint: guarded_by(scheduler_mutex)
@@ -306,9 +260,6 @@ SweepResult run_sweep(const SweepSpec& spec) {
           static_cast<double>(outcome.result.total_deliveries) /
           outcome.compute_seconds;
     }
-    outcome.steady_allocs_per_round =
-        probe_steady_allocs_per_round(outcome.spec);
-    outcome.batch = state.batch;
 
     CaseTelemetry telemetry;
     telemetry.label = case_label(spec.cases[case_index]);
@@ -335,11 +286,7 @@ SweepResult run_sweep(const SweepSpec& spec) {
         if (obs::trace_enabled()) {
           span.emplace(case_label(spec.cases[i]), 0, spec.cases[i].spec.runs);
         }
-        const CaseSpec& cs = spec.cases[i].spec;
-        state.partials.push_back(ShardPartial{
-            0, cs.mode == RunMode::kFreshStart
-                   ? run_case_shard(cs, 0, cs.runs, &state.batch)
-                   : run_case(cs)});
+        state.partials.push_back(ShardPartial{0, run_case(spec.cases[i].spec)});
       }
       state.compute_seconds = seconds_since(start);
       DV_OBS_INC("runner.units");
@@ -489,7 +436,6 @@ SweepResult run_sweep(const SweepSpec& spec) {
       }
 
       CaseResult partial;
-      BatchTelemetry unit_batch;
       {
         // Case-labeled shard span (materialized only when tracing is
         // armed); the run spans emitted by the experiment layer nest
@@ -507,8 +453,7 @@ SweepResult run_sweep(const SweepSpec& spec) {
                   : states[i].checkpoints[unit.checkpoint_index];
           partial = run_cascading_shard(cs, from, unit.run_count);
         } else if (cs.mode == RunMode::kFreshStart) {
-          partial =
-              run_case_shard(cs, unit.first_run, unit.run_count, &unit_batch);
+          partial = run_case_shard(cs, unit.first_run, unit.run_count);
         } else {
           partial = run_case(cs);
         }
@@ -520,7 +465,6 @@ SweepResult run_sweep(const SweepSpec& spec) {
       lock.lock();
       CaseState& state = states[i];
       state.compute_seconds += seconds;
-      state.batch.merge(unit_batch);
       state.partials.push_back(ShardPartial{unit.first_run, std::move(partial)});
       state.finished_runs += unit.run_count;
       if (state.finished_runs == cs.runs) {

@@ -29,7 +29,6 @@
 
 #include "obs/metrics.hpp"
 #include "runner/progress.hpp"
-#include "sim/batch_driver.hpp"
 #include "sim/experiment.hpp"
 #include "util/spill_arena.hpp"
 
@@ -74,22 +73,11 @@ struct CaseOutcome {
   /// (message, recipient) deliveries executed per second.
   double rounds_per_sec = 0.0;
   double deliveries_per_sec = 0.0;
-  /// Steady-state heap allocations per message round, measured by a small
-  /// warmed-up probe world after the case finishes.  Requires the counting
-  /// allocator (dv_alloc_hook) to be linked into the binary; negative when
-  /// it is not (the manifest then omits the field).
-  double steady_allocs_per_round = -1.0;
   /// Result-producing work units this case was executed as (1 = serial).
   std::size_t shards = 0;
   /// Times a unit of this case was claimed by a different worker than the
   /// previous one -- scheduling telemetry, never part of the results.
   std::size_t steals = 0;
-  /// Batched-engine telemetry summed over this case's fresh-start shards
-  /// (sim/batch_driver.hpp): lockstep width, prefix-sharing hit counts,
-  /// fast-forwarded rounds.  `batch.runs == 0` for cascading cases, which
-  /// never batch.  Volatile: rendered in the manifest's volatile block
-  /// only, never part of the results fingerprint.
-  BatchTelemetry batch;
 };
 
 /// Per-connection telemetry from one fabric worker (src/fabric).  Declared

@@ -16,8 +16,6 @@
 
 namespace dynvote {
 
-struct BatchTelemetry;
-
 enum class RunMode {
   /// Each run begins brand-new in the original state (Figures 4-1..4-3).
   kFreshStart,
@@ -56,17 +54,10 @@ CaseResult run_case(const CaseSpec& spec);
 /// coordinates and the absolute run index, so shards are independent and
 /// `CaseResult::merge`-ing them in index order is bit-identical to the
 /// serial `run_case` -- this is the unit the parallel sweep runner fans
-/// out.  `spec.runs` is ignored in favor of the explicit range.
-///
-/// DV_BATCH (default 8) selects the engine: width 1 is the legacy
-/// one-run-at-a-time event loop; width K > 1 advances K runs in lockstep
-/// through the batched engine (sim/batch_driver.hpp) with prefix sharing
-/// and quiet-gap fast-forwarding.  The returned CaseResult is bit-identical
-/// either way.  When `telemetry` is non-null the shard's BatchTelemetry is
-/// merged into it (volatile: never part of the results).
+/// out.  `spec.runs` is ignored in favor of the explicit range.  Each run
+/// is one brand-new Simulation driven to completion (thesis §2.2).
 CaseResult run_case_shard(const CaseSpec& spec, std::uint64_t first_run,
-                          std::uint64_t count,
-                          BatchTelemetry* telemetry = nullptr);
+                          std::uint64_t count);
 
 /// A resumption point inside a cascading case: the simulation state after
 /// runs [0, first_run) completed, as versioned snapshot bytes

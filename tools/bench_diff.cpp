@@ -4,10 +4,10 @@
 //
 // Sweep manifests ("dynvote.sweep.*") compare on results_fingerprint
 // first: identical fingerprints mean bit-identical simulation results, so
-// the tool skips straight to perf telemetry (runs/sec, rounds/sec,
-// deliveries/sec, steady-state allocations per round) and reports timing
-// drift informationally.  Differing fingerprints are a correctness event:
-// the tool diffs availability per case and exits non-zero so CI fails.
+// the tool skips straight to perf telemetry (runs/sec, rounds/sec) and
+// reports timing drift informationally.  Differing fingerprints are a
+// correctness event: the tool diffs availability per case and exits
+// non-zero so CI fails.
 //
 // --perf-gate PCT turns the perf report into a regression gate: after a
 // fingerprint match, any case whose rounds_per_sec fell more than PCT
@@ -120,14 +120,8 @@ void perf_drift_line(const std::string& key, const JsonValue& base,
                              cand.number_or("runs_per_sec", 0.0))
             << ", rounds/sec "
             << percent_delta(base.number_or("rounds_per_sec", 0.0),
-                             cand.number_or("rounds_per_sec", 0.0));
-  const double base_allocs = base.number_or("steady_allocs_per_round", -1.0);
-  const double cand_allocs = cand.number_or("steady_allocs_per_round", -1.0);
-  if (base_allocs >= 0.0 || cand_allocs >= 0.0) {
-    std::cout << ", steady allocs/round " << base_allocs << " -> "
-              << cand_allocs;
-  }
-  std::cout << "\n";
+                             cand.number_or("rounds_per_sec", 0.0))
+            << "\n";
 }
 
 /// One case's gate verdict: the percent rounds_per_sec fell, when both
