@@ -97,19 +97,20 @@ void BM_ProtocolRound(benchmark::State& state) {
 }
 BENCHMARK(BM_ProtocolRound)->Unit(benchmark::kMicrosecond);
 
-/// The steady state the sweeps run in: one Gcs at 64 processes, reused
-/// across iterations and warmed through 8 partition/merge cycles of the
-/// lower half so every pooled buffer has reached capacity.  An iteration is
-/// one more such cycle; only its message rounds are timed and counted.
+/// The steady state the sweeps run in: one Gcs at 64 processes (also 128
+/// and 256 for YKD and 1-pending), reused across iterations and warmed
+/// through 8 partition/merge cycles of the lower half so every pooled
+/// buffer has reached capacity.  An iteration is one more such cycle; only
+/// its message rounds are timed and counted.
 /// items_per_second is protocol rounds per second, and allocs_per_round is
 /// the per-algorithm steady-state allocation figure (the allocation tests
 /// pin its ceiling).  Registered per algorithm in main(); simple majority
 /// sends no protocol traffic, so it has no round to time.
-void BM_ProtocolRoundWarm(benchmark::State& state, AlgorithmKind kind) {
-  constexpr std::size_t kProcesses = 64;
-  Gcs gcs(kind, kProcesses);
-  ProcessSet lower_half(kProcesses);
-  for (ProcessId p = 0; p < kProcesses / 2; ++p) lower_half.insert(p);
+void BM_ProtocolRoundWarm(benchmark::State& state, AlgorithmKind kind,
+                          std::size_t processes) {
+  Gcs gcs(kind, processes);
+  ProcessSet lower_half(processes);
+  for (ProcessId p = 0; p < processes / 2; ++p) lower_half.insert(p);
   const auto settle = [&] {
     std::uint64_t rounds = 0;
     while (gcs.step_round() && rounds < 1000) ++rounds;
@@ -283,8 +284,22 @@ int main(int argc, char** argv) {
     const std::string name = "BM_ProtocolRoundWarm/" +
                              std::string(dynvote::to_string(kind));
     benchmark::RegisterBenchmark(name.c_str(), dynvote::BM_ProtocolRoundWarm,
-                                 kind)
+                                 kind, std::size_t{64})
         ->Unit(benchmark::kMicrosecond);
+  }
+  // Larger views for the YKD family's exchange cost; the N=64 names above
+  // stay suffix-free.
+  for (const dynvote::AlgorithmKind kind :
+       {dynvote::AlgorithmKind::kYkd, dynvote::AlgorithmKind::kOnePending}) {
+    for (const std::size_t processes : {128, 256}) {
+      const std::string name = "BM_ProtocolRoundWarm/" +
+                               std::string(dynvote::to_string(kind)) + "/" +
+                               std::to_string(processes);
+      benchmark::RegisterBenchmark(name.c_str(),
+                                   dynvote::BM_ProtocolRoundWarm, kind,
+                                   processes)
+          ->Unit(benchmark::kMicrosecond);
+    }
   }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

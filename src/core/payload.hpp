@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "core/session.hpp"
@@ -53,6 +54,45 @@ struct ProtocolPayload {
 
 using PayloadPtr = std::shared_ptr<const ProtocolPayload>;
 
+/// The deterministic summary every member computes from the round-1 states
+/// (the thesis's COMPUTE step plus the decision-time filtering).
+struct CombinedKnowledge {
+  SessionNumber max_session = 0;
+  /// Highest-numbered lastPrimary reported by any member.
+  Session max_primary;
+  /// maxAmbiguousSessions after filtering: the constraints a new primary
+  /// must be a subquorum of.
+  std::vector<Session> constraints;
+};
+
+/// The self-independent part of one YKD-family exchange's decision, memoized
+/// so the members of a view compute it once instead of once each.  It is a
+/// pure function of its key: a member whose table holds exactly the `states`
+/// objects (ascending member id) for the same view and variant reuses it,
+/// anyone else recomputes and overwrites it.
+struct ExchangeSummary {
+  /// Key.  An empty `variant` marks the memo as holding nothing.
+  std::string_view variant;
+  ViewId view_id = 0;
+  ProcessSet members;
+  /// Addresses of the summarized payloads, compared and never dereferenced
+  /// (the objects may be gone by the time another member compares).
+  std::vector<std::uintptr_t> states;
+
+  /// Value.
+  CombinedKnowledge knowledge;
+  /// Pool sessions above maxPrimary the filter dropped as provably never
+  /// formed (empty when the variant does not filter).
+  std::vector<Session> unformed;
+  /// The view is a subquorum of maxPrimary and of every constraint.
+  bool quorate = false;
+  /// The variant's allow_attempt verdict; only evaluated when quorate.
+  bool allowed = false;
+
+  /// Invalidate, keeping every vector's capacity.
+  void clear() { variant = {}; }
+};
+
 /// Round 1 of YKD / unoptimized YKD / DFLS / 1-pending: "the processes
 /// exchange all of their internal state -- sending each other their
 /// ambiguous sessions, last primary components, and so on" (thesis §3.1).
@@ -63,6 +103,11 @@ struct StateExchangePayload final : ProtocolPayload {
   /// lastFormed(q) for q = 0..universe-1: the last primary the sender formed
   /// that included q.  Indexed by process id over the initial universe.
   std::vector<Session> last_formed;
+  /// Exchange memo, written by the receiving members through the const
+  /// pointers they share.  Only the payload of the view's lowest member
+  /// carries one; never encoded, so a decoded copy starts empty.
+  mutable ExchangeSummary
+      summary;  // dvlint: transient(memo of a pure function of the exchange)
 
   PayloadType type() const override { return PayloadType::kStateExchange; }
   void encode_body(Encoder& enc) const override;

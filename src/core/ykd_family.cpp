@@ -1,12 +1,21 @@
 #include "core/ykd_family.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "core/quorum.hpp"
 #include "util/assert.hpp"
 #include "util/logging.hpp"
 
 namespace dynvote {
+
+namespace {
+
+bool holds(const std::vector<Session>& sessions, const Session& s) {
+  return std::find(sessions.begin(), sessions.end(), s) != sessions.end();
+}
+
+}  // namespace
 
 YkdFamilyBase::YkdFamilyBase(ProcessId self, const View& initial_view,
                              PruneMode prune_mode, bool filter_constraints)
@@ -51,6 +60,7 @@ void YkdFamilyBase::view_changed(const View& view) {
     state_pool_->last_formed = last_formed_;
     state_pool_version_ = state_version_;
   }
+  state_pool_->summary.clear();  // last view's memo, if we were its lowest
   stage(state_pool_);
 }
 
@@ -107,7 +117,7 @@ std::optional<Message> YkdFamilyBase::outgoing_message_poll(const Message& app) 
 }
 
 bool YkdFamilyBase::allow_attempt(const CombinedKnowledge& /*knowledge*/,
-                                  const StateMap& /*states*/) {
+                                  const StateMap& /*states*/) const {
   return true;
 }
 
@@ -119,11 +129,36 @@ void YkdFamilyBase::handle_extra_payload(const ProtocolPayload& payload,
                << static_cast<int>(payload.type()) << " at process " << self_);
 }
 
-const CombinedKnowledge& YkdFamilyBase::compute_combined() {
-  CombinedKnowledge& k = combined_scratch_;
+const ExchangeSummary& YkdFamilyBase::exchange_summary() const {
+  const ProcessSet& members = current_view_.members;
+  ExchangeSummary& memo = states_.get(members.lowest())->summary;
+  bool hit = memo.variant == name() && memo.view_id == current_view_.id &&
+             memo.members == members;
+  if (hit) {
+    std::size_t i = 0;
+    members.for_each([&](ProcessId q) {
+      hit = hit && memo.states[i++] ==
+                       reinterpret_cast<std::uintptr_t>(states_.get(q));
+    });
+  }
+  if (!hit) summarize(memo);
+  return memo;
+}
+
+void YkdFamilyBase::summarize(ExchangeSummary& summary) const {
+  summary.variant = name();
+  summary.view_id = current_view_.id;
+  summary.members = current_view_.members;
+  summary.states.clear();
+  current_view_.members.for_each([&](ProcessId q) {
+    summary.states.push_back(reinterpret_cast<std::uintptr_t>(states_.get(q)));
+  });
+
+  CombinedKnowledge& k = summary.knowledge;
   k.max_session = 0;
   k.max_primary = Session{0, initial_view_.members};
   k.constraints.clear();
+  summary.unformed.clear();
 
   for (const auto& [q, state] : states_) {
     k.max_session = std::max(k.max_session, state->session_number);
@@ -135,15 +170,35 @@ const CombinedKnowledge& YkdFamilyBase::compute_combined() {
   for (const auto& [q, state] : states_) {
     for (const Session& s : state->ambiguous) {
       if (filter_constraints_ && s.number <= k.max_primary.number) continue;
-      if (std::find(k.constraints.begin(), k.constraints.end(), s) !=
-          k.constraints.end()) {
+      if (holds(k.constraints, s) || holds(summary.unformed, s)) continue;
+      if (filter_constraints_ && provably_unformed(s, states_)) {
+        summary.unformed.push_back(s);
         continue;
       }
-      if (filter_constraints_ && provably_unformed(s, states_)) continue;
       k.constraints.push_back(s);
     }
   }
-  return k;
+
+  // DECIDE (Figure 3-4): the new view must be a subquorum of maxPrimary and
+  // of every constraint session.
+  bool quorate = is_subquorum(current_view_.members, k.max_primary.members);
+  for (const Session& s : k.constraints) {
+    if (!quorate) break;
+    quorate = is_subquorum(current_view_.members, s.members);
+  }
+  summary.quorate = quorate;
+  summary.allowed = quorate && allow_attempt(k, states_);
+}
+
+bool YkdFamilyBase::unformed_in_exchange(const Session& s,
+                                         const ExchangeSummary& summary) const {
+  // Above maxPrimary the filtering pass sorted every distinct pool session
+  // into constraints or unformed; anything else is asked directly.
+  if (filter_constraints_ && s.number > summary.knowledge.max_primary.number) {
+    if (holds(summary.unformed, s)) return true;
+    if (holds(summary.knowledge.constraints, s)) return false;
+  }
+  return provably_unformed(s, states_);
 }
 
 bool YkdFamilyBase::provably_unformed(const Session& s,
@@ -171,24 +226,26 @@ bool YkdFamilyBase::provably_unformed(const Session& s,
 }
 
 void YkdFamilyBase::on_exchange_complete() {
-  const CombinedKnowledge& knowledge = compute_combined();
+  const ExchangeSummary& summary = exchange_summary();
 
   // RESOLVE / ACCEPT: adopt the highest-numbered formed session containing
   // this process.  If q formed (or adopted) a session F with self in it,
   // q's lastFormed(self) records the latest such F, so scanning each
   // member's lastPrimary and lastFormed(self) finds the maximum.
-  Session best = last_primary_;
-  for (const auto& [q, state] : states_) {
-    const Session& lp = state->last_primary;
-    if (lp.members.contains(self_) && session_precedes(best, lp)) best = lp;
-    if (self_ < state->last_formed.size()) {
-      const Session& lf = state->last_formed[self_];
-      if (lf.members.contains(self_) && session_precedes(best, lf)) best = lf;
+  const Session* best = &last_primary_;
+  current_view_.members.for_each([&](ProcessId q) {
+    const StateExchangePayload& state = *states_.get(q);
+    const Session& lp = state.last_primary;
+    if (lp.members.contains(self_) && session_precedes(*best, lp)) best = &lp;
+    if (self_ < state.last_formed.size()) {
+      const Session& lf = state.last_formed[self_];
+      if (lf.members.contains(self_) && session_precedes(*best, lf)) best = &lf;
     }
-  }
-  if (session_precedes(last_primary_, best)) {
-    last_primary_ = best;
-    best.members.for_each([&](ProcessId q) { last_formed_[q] = best; });
+  });
+  if (best != &last_primary_) {
+    last_primary_ = *best;
+    last_primary_.members.for_each(
+        [&](ProcessId q) { last_formed_[q] = last_primary_; });
     note_state_mutated();
   }
 
@@ -202,41 +259,33 @@ void YkdFamilyBase::on_exchange_complete() {
     case PruneMode::kFull:
       pruned = std::erase_if(ambiguous_, [&](const Session& s) {
         return s.number <= last_primary_.number ||
-               provably_unformed(s, states_);
+               unformed_in_exchange(s, summary);
       });
       break;
     case PruneMode::kGlobalSuperseded:
       pruned = std::erase_if(ambiguous_, [&](const Session& s) {
-        return s.number <= knowledge.max_primary.number;
+        return s.number <= summary.knowledge.max_primary.number;
       });
       break;
     case PruneMode::kUnformedOnly:
       pruned = std::erase_if(ambiguous_, [&](const Session& s) {
-        return provably_unformed(s, states_);
+        return unformed_in_exchange(s, summary);
       });
       break;
   }
   if (pruned != 0) note_state_mutated();
 
-  // DECIDE (Figure 3-4): the new view must be a subquorum of maxPrimary and
-  // of every constraint session.
-  bool decide = is_subquorum(current_view_.members, knowledge.max_primary.members);
-  for (const Session& s : knowledge.constraints) {
-    if (!decide) break;
-    decide = decide && is_subquorum(current_view_.members, s.members);
-  }
-  if (decide && !allow_attempt(knowledge, states_)) {
-    blocked_ = true;
-    decide = false;
-  }
-
-  states_.clear();
+  // DECIDE, as summarized for the whole view.
+  if (summary.quorate && !summary.allowed) blocked_ = true;
+  const bool decide = summary.allowed;
+  const SessionNumber next_session = summary.knowledge.max_session + 1;
+  states_.clear();  // may release the summary's holder
   if (!decide) {
     stage_ = Stage::kIdle;
     return;
   }
 
-  session_number_ = knowledge.max_session + 1;
+  session_number_ = next_session;
   proposed_ = Session{session_number_, current_view_.members};
   ambiguous_.push_back(proposed_);
   note_state_mutated();

@@ -30,6 +30,17 @@
 //
 // -- so pruning a process's *stored* list (which only removes sessions that
 // this filter would drop anyway) cannot change any decision.
+//
+// Once per view.  Everything up to DECIDE except RESOLVE/ACCEPT and the
+// prune is self-independent: maxSession, maxPrimary, the filtered pool and
+// its never-formed verdicts, the subquorum verdict and the variant's
+// allow_attempt verdict depend only on the k states, the view's membership
+// and the variant.  The first member to complete computes that
+// ExchangeSummary (payload.hpp) into the memo carried by the lowest
+// member's state payload; every other member whose table holds the same k
+// payload objects reuses it.  A table holding any other object -- a
+// hand-fed state, a snapshot-restored copy -- fails the O(k) identity check
+// and recomputes, so the memo can only save work, never change a decision.
 #pragma once
 
 #include <cstdint>
@@ -40,17 +51,6 @@
 #include "core/payload.hpp"
 
 namespace dynvote {
-
-/// The deterministic summary every member computes from the round-1 states
-/// (the thesis's COMPUTE step plus the decision-time filtering).
-struct CombinedKnowledge {
-  SessionNumber max_session = 0;
-  /// Highest-numbered lastPrimary reported by any member.
-  Session max_primary;
-  /// maxAmbiguousSessions after filtering: the constraints a new primary
-  /// must be a subquorum of.
-  std::vector<Session> constraints;
-};
 
 /// Flat, id-indexed table of the round-1 states received in the current
 /// exchange.  Replaces a std::map keyed by ProcessId: slot access is O(1)
@@ -187,13 +187,13 @@ class YkdFamilyBase : public PrimaryComponentAlgorithm {
   YkdFamilyBase(ProcessId self, const View& initial_view, PruneMode prune_mode,
                 bool filter_constraints = true);
 
-  /// May this process start a new attempt given the combined knowledge?
+  /// May the view start a new attempt given the combined knowledge?
   /// 1-pending overrides this to refuse while any member has an unresolved
-  /// pending session.  Must be a deterministic function of the arguments:
-  /// every member evaluates it on identical inputs and formation requires
-  /// everyone to reach the same answer.
+  /// pending session (the caller then sets blocked_).  Must be a pure
+  /// function of the arguments, the current view and the initial view:
+  /// its verdict is memoized once per exchange and shared by every member.
   virtual bool allow_attempt(const CombinedKnowledge& knowledge,
-                             const StateMap& states);
+                             const StateMap& states) const;
 
   /// Called when a primary component has just been formed (lastPrimary and
   /// lastFormed already updated).  The default deletes all ambiguous
@@ -243,9 +243,17 @@ class YkdFamilyBase : public PrimaryComponentAlgorithm {
 
   void on_exchange_complete();
   void form_primary();
-  /// Fills combined_scratch_ from states_ and returns a reference to it, so
-  /// the constraint vector's capacity is reused across exchanges.
-  const CombinedKnowledge& compute_combined();
+  /// The completed exchange's summary: the memo on the lowest member's
+  /// payload when its key matches states_, else freshly computed into it.
+  /// Valid while states_ holds that payload.
+  const ExchangeSummary& exchange_summary() const;
+  /// Fill `summary` (key and value) from states_; its vectors keep their
+  /// capacity, so steady-state exchanges do not allocate.
+  void summarize(ExchangeSummary& summary) const;
+  /// provably_unformed(s, states_), answered from the summary when the
+  /// pool filter already settled it.
+  bool unformed_in_exchange(const Session& s,
+                            const ExchangeSummary& summary) const;
 
   PruneMode prune_mode_;     // dvlint: transient(constructor configuration)
   bool filter_constraints_;  // dvlint: transient(constructor configuration)
@@ -279,8 +287,6 @@ class YkdFamilyBase : public PrimaryComponentAlgorithm {
   /// Single-slot reuse of the round-2 attempt payload, same contract.
   std::shared_ptr<AttemptPayload>
       attempt_pool_;  // dvlint: transient(allocator cache, never read back)
-  CombinedKnowledge
-      combined_scratch_;  // dvlint: transient(rebuilt by every exchange)
 };
 
 }  // namespace dynvote

@@ -27,6 +27,7 @@
 #include "fabric/wire.hpp"
 #include "fabric/worker.hpp"
 #include "gtest/gtest.h"
+#include "obs/metrics.hpp"
 #include "runner/artifact.hpp"
 #include "runner/progress.hpp"
 #include "runner/sweep.hpp"
@@ -325,8 +326,11 @@ TEST(FabricSystem, TwoWorkerSweepMatchesInProcessFingerprint) {
   serial.jobs = 2;
   const SweepResult expected = run_sweep(serial);
 
+  // Dispatch-only, so every unit runs on a remote worker.  With a local
+  // executor sharing the pool, a sweep this small can drain before either
+  // worker's hello is accepted.
   CoordinatorOptions options;
-  options.local_jobs = 1;  // scouts cascading cases; shares the unit pool
+  options.local_jobs = 0;
   options.heartbeat_ms = 100;
   Coordinator coordinator(spec, options);
 
@@ -370,6 +374,14 @@ TEST(FabricSystem, TwoWorkerSweepMatchesInProcessFingerprint) {
   EXPECT_GT(issued, 0u);
 }
 
+/// This process's cumulative `fabric.units_reissued` counter.
+std::uint64_t units_reissued_counter() {
+  for (const auto& [name, value] : obs::snapshot_metrics().counters) {
+    if (name == "fabric.units_reissued") return value;
+  }
+  return 0;
+}
+
 TEST(FabricSystem, SilentWorkerDeathTriggersReissueWithIdenticalResults) {
   SweepSpec spec = small_sweep();
   NullProgress quiet;
@@ -377,22 +389,44 @@ TEST(FabricSystem, SilentWorkerDeathTriggersReissueWithIdenticalResults) {
 
   const SweepResult expected = run_sweep(spec);
 
+  // Dispatch-only: nothing runs until a worker connects, so the casualty
+  // is certain to be granted leases (slots + 1 of them at hello) and to
+  // die holding the one it never started.  Leases never expire, so only
+  // the death can re-issue it.
   CoordinatorOptions options;
-  options.local_jobs = 1;
+  options.local_jobs = 0;
   options.heartbeat_ms = 100;  // silence window: max(5x100, 2000) = 2s
+  options.lease_ms = 600000;
   Coordinator coordinator(spec, options);
+  const std::uint64_t reissued_before = units_reissued_counter();
+  SweepResult distributed;
+  std::thread sweep([&] { distributed = coordinator.run(); });
 
   // This worker completes one unit, then falls silent while still holding
-  // leases -- the only death signal is missing heartbeats.
+  // a lease -- the only death signal is missing heartbeats.
   WorkerOptions dying;
   dying.port = coordinator.port();
-  dying.slots = 2;
+  dying.slots = 1;
   dying.die_after_units = 1;
   WorkerThread casualty(dying);
 
-  const SweepResult distributed = coordinator.run();
+  // Wait for the coordinator to declare it dead, then let it exit.
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::seconds(120);
+  while (units_reissued_counter() == reissued_before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
   casualty.request_stop();
   EXPECT_EQ(casualty.exit_code(), WorkerExit::kDied);
+
+  // Only now does a healthy worker arrive to finish the sweep.
+  WorkerOptions healthy;
+  healthy.port = coordinator.port();
+  healthy.slots = 2;
+  WorkerThread rescuer(healthy);
+  sweep.join();
+  EXPECT_EQ(rescuer.exit_code(), WorkerExit::kShutdown);
 
   // The sweep can only have drained by re-issuing the casualty's units.
   EXPECT_GE(distributed.fabric.units_reissued, 1u);
