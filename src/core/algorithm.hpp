@@ -12,7 +12,15 @@
 //    initial view.
 //  * Every received message is passed through `incoming_message`, which
 //    strips and consumes any piggybacked protocol payload and returns the
-//    application part.
+//    application part.  That by-value call is the thesis's API and stays
+//    the one an application or a plugged-in algorithm uses.  The GCS
+//    delivers through `receive` instead, which reads the message by const
+//    reference and returns nothing: the simulated application has no
+//    payload of its own, so the copy and the stripped result would be
+//    waste on every delivery.  `receive` defaults to calling
+//    `incoming_message`, so overriding only the thesis API is enough; the
+//    shipped algorithms override `receive` and make `incoming_message` its
+//    thin adapter.
 //  * Every outgoing message -- and, after each receipt or view change, an
 //    empty poll -- is passed through `outgoing_message_poll`.  A non-null
 //    result must be multicast to the current view in place of the original.
@@ -94,6 +102,14 @@ class PrimaryComponentAlgorithm {
   /// with the protocol payload stripped; the application must not look at
   /// the original.
   virtual Message incoming_message(Message message, ProcessId sender) = 0;
+
+  /// The GCS's delivery path: consume `message`'s protocol payload without
+  /// copying the message or returning its application part.  Must act
+  /// exactly as `incoming_message` does on the same message; the default
+  /// is that call.
+  virtual void receive(const Message& message, ProcessId sender) {
+    (void)incoming_message(message, sender);
+  }
 
   /// Offer an outgoing application message (possibly empty).  Returns the
   /// message to multicast instead -- with protocol state piggybacked -- or

@@ -1,5 +1,7 @@
 #include "core/dfls.hpp"
 
+#include "core/quorum.hpp"
+
 namespace dynvote {
 
 Dfls::Dfls(ProcessId self, const View& initial_view)
@@ -11,6 +13,7 @@ void Dfls::view_changed(const View& view) {
   // Interrupted before the GC round completed: the ambiguous sessions stay.
   gc_pending_ = false;
   gc_received_.clear();
+  gc_count_ = 0;
   YkdFamilyBase::view_changed(view);
 }
 
@@ -20,10 +23,10 @@ void Dfls::on_primary_formed() {
   gc_pending_ = true;
   gc_number_ = last_primary_.number;
   gc_received_.clear();
+  gc_count_ = 0;
 
-  auto gc = std::make_shared<GcRoundPayload>();
-  gc->formed_number = gc_number_;
-  stage(std::move(gc));
+  reuse_payload(gc_pool_).formed_number = gc_number_;
+  stage(gc_pool_);
 }
 
 void Dfls::save_extra(Encoder& enc) const {
@@ -36,6 +39,7 @@ void Dfls::load_extra(Decoder& dec) {
   gc_pending_ = dec.get_bool();
   gc_number_ = dec.get_varint();
   gc_received_ = ProcessSet::decode(dec);
+  gc_count_ = arrivals_from(gc_received_, current_view().members);
 }
 
 void Dfls::handle_extra_payload(const ProtocolPayload& payload,
@@ -43,8 +47,8 @@ void Dfls::handle_extra_payload(const ProtocolPayload& payload,
   if (payload.type() != PayloadType::kGcRound || !gc_pending_) return;
   const auto& gc = static_cast<const GcRoundPayload&>(payload);
   if (gc.formed_number != gc_number_) return;
-  gc_received_.insert(sender);
-  if (gc_received_ == current_view().members) {
+  if (add_arrival(gc_received_, sender, current_view().members) &&
+      ++gc_count_ == view_size()) {
     if (!ambiguous_.empty()) note_state_mutated();
     ambiguous_.clear();
     gc_pending_ = false;

@@ -8,6 +8,8 @@
 // moderate change rates (thesis §4.1).  Three message rounds total.
 #pragma once
 
+#include <memory>
+
 #include "core/ykd_family.hpp"
 
 namespace dynvote {
@@ -30,6 +32,11 @@ class Dfls final : public YkdFamilyBase {
   bool gc_pending_ = false;
   SessionNumber gc_number_ = 0;
   ProcessSet gc_received_;
+  /// |gc_received_ ∩ members|, kept by add_arrival (quorum.hpp).
+  std::size_t gc_count_ = 0;  // dvlint: transient(derived from gc_received_)
+  /// Single-slot reuse of the GC-round payload (reuse_payload).
+  std::shared_ptr<GcRoundPayload>
+      gc_pool_;  // dvlint: transient(allocator cache, never read back)
 };
 
 }  // namespace dynvote

@@ -29,14 +29,15 @@ Mr1p::Mr1p(ProcessId self, const View& initial_view, Mr1pOptions options)
       current_view_(initial_view) {
   const std::size_t universe = initial_view.members.universe_size();
   formed_views_.push_back(cur_primary_);
+  view_size_ = current_view_.members.count();
   echo_senders_ = ProcessSet(universe);
   tryfail_callers_ = ProcessSet(universe);
   propose_received_ = ProcessSet(universe);
   attempt_received_ = ProcessSet(universe);
 }
 
-Session Mr1p::view_session() const {
-  return Session{current_view_.id, current_view_.members};
+bool Mr1p::is_view_session(const Session& s) const {
+  return s.number == current_view_.id && s.members == current_view_.members;
 }
 
 void Mr1p::stage(std::shared_ptr<ProtocolPayload> payload) {
@@ -48,6 +49,7 @@ void Mr1p::stage(std::shared_ptr<ProtocolPayload> payload) {
 void Mr1p::view_changed(const View& view) {
   DV_REQUIRE(view.members.contains(self_), "installed a view without self");
   current_view_ = view;
+  view_size_ = view.members.count();
   in_primary_ = false;
   outbox_.clear();
   outbox_head_ = 0;
@@ -59,19 +61,19 @@ void Mr1p::view_changed(const View& view) {
   tryfail_callers_.clear();
   propose_received_.clear();
   attempt_received_.clear();
+  propose_count_ = 0;
+  attempt_count_ = 0;
   attempt_sent_ = false;
   tried_new_ = false;
 
   if (pending_.has_value()) {
     // Rebuild the R1 payload in place once every holder from the previous
     // view change (recipients, the network) has dropped it.
-    if (!pending_pool_ || pending_pool_.use_count() > 1) {
-      pending_pool_ = std::make_shared<Mr1pPendingPayload>();
-    }
-    pending_pool_->has_pending = true;
-    pending_pool_->pending = *pending_;
-    pending_pool_->num = num_;
-    pending_pool_->status = status_;
+    Mr1pPendingPayload& query = reuse_payload(pending_pool_);
+    query.has_pending = true;
+    query.pending = *pending_;
+    query.num = num_;
+    query.status = status_;
     stage(pending_pool_);
   } else {
     try_new();
@@ -81,14 +83,12 @@ void Mr1p::view_changed(const View& view) {
 void Mr1p::try_new() {
   tried_new_ = true;
   if (is_subquorum(current_view_.members, cur_primary_.members)) {
-    const Session proposal = view_session();
-    pending_ = proposal;
+    pending_ = Session{current_view_.id, current_view_.members};
     num_ = 1;
     status_ = Mr1pStatus::kSent;
 
-    auto propose = std::make_shared<Mr1pProposePayload>();
-    propose->proposal = proposal;
-    stage(std::move(propose));
+    reuse_payload(propose_pool_).proposal = *pending_;
+    stage(propose_pool_);
   } else {
     pending_.reset();
     num_ = 0;
@@ -97,10 +97,15 @@ void Mr1p::try_new() {
 }
 
 Message Mr1p::incoming_message(Message message, ProcessId sender) {
-  PayloadPtr payload = std::move(message.protocol);
+  receive(message, sender);
   message.protocol = nullptr;
-  if (payload == nullptr) return message;
-  if (payload->view_id != current_view_.id) return message;
+  return message;
+}
+
+void Mr1p::receive(const Message& message, ProcessId sender) {
+  const ProtocolPayload* payload = message.protocol.get();
+  if (payload == nullptr) return;
+  if (payload->view_id != current_view_.id) return;
 
   switch (payload->type()) {
     case PayloadType::kMr1pPending:
@@ -121,7 +126,6 @@ Message Mr1p::incoming_message(Message message, ProcessId sender) {
     default:
       break;  // not an MR1p payload; ignore
   }
-  return message;
 }
 
 std::optional<Message> Mr1p::outgoing_message_poll(const Message& app) {
@@ -130,11 +134,8 @@ std::optional<Message> Mr1p::outgoing_message_poll(const Message& app) {
   // poll to poll (the replies vector keeps its capacity) whenever the
   // previous batch has drained from the network and its recipients.
   if (!unanswered_queries_.empty()) {
-    if (!reply_pool_ || reply_pool_.use_count() > 1) {
-      reply_pool_ = std::make_shared<Mr1pReplyPayload>();
-    }
-    const std::shared_ptr<Mr1pReplyPayload>& batch = reply_pool_;
-    batch->replies.clear();
+    Mr1pReplyPayload& batch = reuse_payload(reply_pool_);
+    batch.replies.clear();
     for (const Session& about : unanswered_queries_) {
       Mr1pReplyItem item;
       item.about = about;
@@ -148,13 +149,13 @@ std::optional<Message> Mr1p::outgoing_message_poll(const Message& app) {
       } else {
         continue;  // nothing useful to say
       }
-      batch->replies.push_back(std::move(item));
+      batch.replies.push_back(std::move(item));
     }
     unanswered_queries_.clear();
-    if (!batch->replies.empty()) {
-      batch->view_id = current_view_.id;
+    if (!batch.replies.empty()) {
+      batch.view_id = current_view_.id;
       Message out = app;
-      out.protocol = batch;
+      out.protocol = reply_pool_;
       return out;
     }
   }
@@ -226,10 +227,7 @@ void Mr1p::maybe_resolve() {
         // Paxos-style completion of the possibly-formed session.
         num_ = best_echo_num_ + 1;
         resolve_sent_ = true;
-        auto resolve = std::make_shared<Mr1pResolvePayload>();
-        resolve->about = *pending_;
-        resolve->call = Mr1pVerdict::kStatusAttempt;
-        stage(std::move(resolve));
+        stage_resolve(Mr1pVerdict::kStatusAttempt);
         adopt_formed(*pending_);
         return;
       }
@@ -247,10 +245,14 @@ void Mr1p::maybe_resolve() {
   num_ = best_echo_num_ + 1;
   status_ = Mr1pStatus::kTryFail;
   resolve_sent_ = true;
-  auto resolve = std::make_shared<Mr1pResolvePayload>();
-  resolve->about = *pending_;
-  resolve->call = Mr1pVerdict::kStatusTryFail;
-  stage(std::move(resolve));
+  stage_resolve(Mr1pVerdict::kStatusTryFail);
+}
+
+void Mr1p::stage_resolve(Mr1pVerdict call) {
+  Mr1pResolvePayload& resolve = reuse_payload(resolve_pool_);
+  resolve.about = *pending_;
+  resolve.call = call;
+  stage(resolve_pool_);
 }
 
 void Mr1p::handle_resolve(const Mr1pResolvePayload& payload, ProcessId sender) {
@@ -272,30 +274,31 @@ void Mr1p::handle_resolve(const Mr1pResolvePayload& payload, ProcessId sender) {
 }
 
 void Mr1p::handle_propose(const Mr1pProposePayload& payload, ProcessId sender) {
-  if (payload.proposal != view_session()) return;
-  propose_received_.insert(sender);
+  if (!is_view_session(payload.proposal)) return;
+  propose_count_ +=
+      add_arrival(propose_received_, sender, current_view_.members) ? 1 : 0;
   // "Upon receipt of <V,1> from all members of V": move to the attempt
   // stage -- but only if we proposed V ourselves (we are pending on it).
   if (attempt_sent_) return;
   if (!pending_.has_value() || *pending_ != payload.proposal) return;
-  if (propose_received_ == current_view_.members) {
+  if (propose_count_ == view_size_) {
     status_ = Mr1pStatus::kAttempt;
     num_ = 2;
     attempt_sent_ = true;
 
-    auto attempt = std::make_shared<Mr1pAttemptPayload>();
-    attempt->proposal = payload.proposal;
-    stage(std::move(attempt));
+    reuse_payload(attempt_pool_).proposal = payload.proposal;
+    stage(attempt_pool_);
   }
 }
 
 void Mr1p::handle_attempt(const Mr1pAttemptPayload& payload, ProcessId sender) {
-  if (payload.proposal != view_session()) return;
-  attempt_received_.insert(sender);
+  if (!is_view_session(payload.proposal)) return;
+  attempt_count_ +=
+      add_arrival(attempt_received_, sender, current_view_.members) ? 1 : 0;
   if (in_primary_) return;
   // "Declare the new view to be a primary component when a majority of the
   // processes in it have sent a message in step 5."
-  if (is_majority_of(attempt_received_, current_view_.members)) {
+  if (2 * attempt_count_ > view_size_) {
     record_formed(payload.proposal);
     cur_primary_ = payload.proposal;
     in_primary_ = true;
@@ -399,6 +402,7 @@ void Mr1p::load(Decoder& dec) {
   in_primary_ = dec.get_bool();
 
   current_view_ = View::decode(dec);
+  view_size_ = current_view_.members.count();
   const std::uint64_t staged = dec.get_varint();
   if (staged > 1'000'000) throw DecodeError("implausible outbox length");
   outbox_.clear();
@@ -423,6 +427,8 @@ void Mr1p::load(Decoder& dec) {
   tryfail_callers_ = ProcessSet::decode(dec);
   propose_received_ = ProcessSet::decode(dec);
   attempt_received_ = ProcessSet::decode(dec);
+  propose_count_ = arrivals_from(propose_received_, current_view_.members);
+  attempt_count_ = arrivals_from(attempt_received_, current_view_.members);
   attempt_sent_ = dec.get_bool();
   tried_new_ = dec.get_bool();
 }

@@ -71,7 +71,9 @@ class Mr1p final : public PrimaryComponentAlgorithm {
   Mr1p(ProcessId self, const View& initial_view, Mr1pOptions options = {});
 
   void view_changed(const View& view) override;
+  /// The thesis API: receive(), then strip the payload.
   Message incoming_message(Message message, ProcessId sender) override;
+  void receive(const Message& message, ProcessId sender) final;
   std::optional<Message> outgoing_message_poll(const Message& app) override;
   bool in_primary() const override { return in_primary_; }
   std::string_view name() const override { return "mr1p"; }
@@ -89,12 +91,15 @@ class Mr1p final : public PrimaryComponentAlgorithm {
   void handle_propose(const Mr1pProposePayload& payload, ProcessId sender);
   void handle_attempt(const Mr1pAttemptPayload& payload, ProcessId sender);
   void maybe_resolve();
+  /// Stage the round-3 call on pending_.
+  void stage_resolve(Mr1pVerdict call);
   void adopt_formed(const Session& session);
   void abandon_pending();
   void record_formed(const Session& session);
   bool knows_formed(const Session& session) const;
-  /// The session this view would become if declared primary.
-  Session view_session() const;
+  /// Is `s` the session this view would become if declared primary?
+  /// Compares in place, without building that session.
+  bool is_view_session(const Session& s) const;
 
   // --- persistent state (thesis §3.2.4) ---
   Mr1pOptions options_;  // dvlint: transient(constructor configuration)
@@ -107,6 +112,7 @@ class Mr1p final : public PrimaryComponentAlgorithm {
 
   // --- per-view protocol state ---
   View current_view_;
+  std::size_t view_size_ = 0;  // dvlint: transient(derived from current_view_)
   /// Staged payloads, appended and consumed front-to-back via outbox_head_
   /// (vector + cursor instead of a deque so capacity survives view changes
   /// and steady-state staging never allocates).  The consumed prefix is
@@ -125,15 +131,27 @@ class Mr1p final : public PrimaryComponentAlgorithm {
   ProcessSet tryfail_callers_;
   ProcessSet propose_received_;
   ProcessSet attempt_received_;
+  /// |propose_received_ ∩ members| and |attempt_received_ ∩ members|, kept
+  /// by add_arrival (quorum.hpp).
+  std::size_t
+      propose_count_ = 0;  // dvlint: transient(derived from propose_received_)
+  std::size_t
+      attempt_count_ = 0;  // dvlint: transient(derived from attempt_received_)
   bool attempt_sent_ = false;
   bool tried_new_ = false;
-  /// Single-slot payload reuse, valid only while we hold the sole
-  /// reference (single-threaded simulation; snapshots cover these by value
-  /// wherever the payload is actually staged or in flight).
+  /// Single-slot payload reuse (reuse_payload, payload.hpp).  Snapshots
+  /// cover these by value wherever the payload is actually staged or in
+  /// flight.
   std::shared_ptr<Mr1pPendingPayload>
       pending_pool_;  // dvlint: transient(allocator cache, never read back)
   std::shared_ptr<Mr1pReplyPayload>
       reply_pool_;  // dvlint: transient(allocator cache, never read back)
+  std::shared_ptr<Mr1pResolvePayload>
+      resolve_pool_;  // dvlint: transient(allocator cache, never read back)
+  std::shared_ptr<Mr1pProposePayload>
+      propose_pool_;  // dvlint: transient(allocator cache, never read back)
+  std::shared_ptr<Mr1pAttemptPayload>
+      attempt_pool_;  // dvlint: transient(allocator cache, never read back)
 };
 
 }  // namespace dynvote

@@ -54,6 +54,18 @@ struct ProtocolPayload {
 
 using PayloadPtr = std::shared_ptr<const ProtocolPayload>;
 
+/// Single-slot payload pooling.  A sender keeps its last payload of a kind
+/// in `pool` and refills it in place once it holds the only reference --
+/// every recipient and the network have let go of it, which
+/// use_count() == 1 proves in the single-threaded simulation -- so its
+/// vectors keep their capacity and steady-state rounds do not allocate.
+/// Otherwise a fresh payload takes the slot.
+template <typename T>
+T& reuse_payload(std::shared_ptr<T>& pool) {
+  if (!pool || pool.use_count() > 1) pool = std::make_shared<T>();
+  return *pool;
+}
+
 /// The deterministic summary every member computes from the round-1 states
 /// (the thesis's COMPUTE step plus the decision-time filtering).
 struct CombinedKnowledge {

@@ -17,4 +17,11 @@ bool is_subquorum(const ProcessSet& candidate, const ProcessSet& of) {
   return false;
 }
 
+std::size_t arrivals_from(const ProcessSet& arrived,
+                          const ProcessSet& members) {
+  std::size_t n = 0;
+  members.for_each([&](ProcessId q) { n += arrived.contains(q) ? 1 : 0; });
+  return n;
+}
+
 }  // namespace dynvote

@@ -15,8 +15,9 @@ void SimpleMajority::view_changed(const View& view) {
   if (in_primary_) last_primary_ = Session{view.id, view.members};
 }
 
-Message SimpleMajority::incoming_message(Message message, ProcessId /*sender*/) {
-  message.protocol = nullptr;  // never expects protocol payloads
+Message SimpleMajority::incoming_message(Message message, ProcessId sender) {
+  receive(message, sender);
+  message.protocol = nullptr;
   return message;
 }
 

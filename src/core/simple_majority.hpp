@@ -16,7 +16,10 @@ class SimpleMajority final : public PrimaryComponentAlgorithm {
   SimpleMajority(ProcessId self, const View& initial_view);
 
   void view_changed(const View& view) override;
+  /// The thesis API: receive(), then strip the payload.
   Message incoming_message(Message message, ProcessId sender) override;
+  /// Never expects protocol payloads: a delivery changes nothing.
+  void receive(const Message& /*message*/, ProcessId /*sender*/) final {}
   std::optional<Message> outgoing_message_poll(const Message& app) override;
   bool in_primary() const override { return in_primary_; }
   std::string_view name() const override { return "simple-majority"; }

@@ -27,6 +27,7 @@ YkdFamilyBase::YkdFamilyBase(ProcessId self, const View& initial_view,
   last_primary_ = genesis;
   last_formed_.assign(universe, genesis);
   current_view_ = initial_view;
+  view_size_ = initial_view.members.count();
   attempts_received_ = ProcessSet(universe);
   states_.reset_universe(universe);
 }
@@ -34,11 +35,13 @@ YkdFamilyBase::YkdFamilyBase(ProcessId self, const View& initial_view,
 void YkdFamilyBase::view_changed(const View& view) {
   DV_REQUIRE(view.members.contains(self_), "installed a view without self");
   current_view_ = view;
+  view_size_ = view.members.count();
   in_primary_ = false;
   blocked_ = false;
   stage_ = Stage::kExchanging;
   states_.clear();
   attempts_received_.clear();
+  attempts_count_ = 0;
   outbox_.clear();  // anything staged for the old view is stale
   outbox_head_ = 0;
 
@@ -51,13 +54,11 @@ void YkdFamilyBase::view_changed(const View& view) {
   const bool pool_fresh = state_pool_ && state_pool_.use_count() == 1 &&
                           state_pool_version_ == state_version_;
   if (!pool_fresh) {
-    if (!state_pool_ || state_pool_.use_count() > 1) {
-      state_pool_ = std::make_shared<StateExchangePayload>();
-    }
-    state_pool_->session_number = session_number_;
-    state_pool_->last_primary = last_primary_;
-    state_pool_->ambiguous = ambiguous_;
-    state_pool_->last_formed = last_formed_;
+    StateExchangePayload& state = reuse_payload(state_pool_);
+    state.session_number = session_number_;
+    state.last_primary = last_primary_;
+    state.ambiguous = ambiguous_;
+    state.last_formed = last_formed_;
     state_pool_version_ = state_version_;
   }
   state_pool_->summary.clear();  // last view's memo, if we were its lowest
@@ -71,38 +72,44 @@ void YkdFamilyBase::stage(std::shared_ptr<ProtocolPayload> payload) {
 }
 
 Message YkdFamilyBase::incoming_message(Message message, ProcessId sender) {
-  PayloadPtr payload = std::move(message.protocol);
+  receive(message, sender);
   message.protocol = nullptr;
-  if (payload == nullptr) return message;
+  return message;
+}
+
+void YkdFamilyBase::receive(const Message& message, ProcessId sender) {
+  const ProtocolPayload* payload = message.protocol.get();
+  if (payload == nullptr) return;
 
   // Discard traffic from any view other than the current one.
-  if (payload->view_id != current_view_.id) return message;
+  if (payload->view_id != current_view_.id) return;
 
   switch (payload->type()) {
     case PayloadType::kStateExchange: {
       if (stage_ != Stage::kExchanging) break;  // stale duplicate round
       DV_ASSERT_MSG(current_view_.members.contains(sender),
                     "state from a non-member of the current view");
+      // The one reference a delivery keeps: the table holds the state
+      // until the exchange completes.
       states_.set(sender, std::static_pointer_cast<const StateExchangePayload>(
-                              std::move(payload)));
-      if (states_.size() == current_view_.members.count()) {
-        on_exchange_complete();
-      }
+                              message.protocol));
+      if (states_.size() == view_size_) on_exchange_complete();
       break;
     }
     case PayloadType::kAttempt: {
       if (stage_ != Stage::kAttempting) break;
       const auto& attempt = static_cast<const AttemptPayload&>(*payload);
       if (attempt.proposal != proposed_) break;
-      attempts_received_.insert(sender);
-      if (attempts_received_ == current_view_.members) form_primary();
+      if (add_arrival(attempts_received_, sender, current_view_.members) &&
+          ++attempts_count_ == view_size_) {
+        form_primary();
+      }
       break;
     }
     default:
       handle_extra_payload(*payload, sender);
       break;
   }
-  return message;
 }
 
 std::optional<Message> YkdFamilyBase::outgoing_message_poll(const Message& app) {
@@ -291,13 +298,11 @@ void YkdFamilyBase::on_exchange_complete() {
   note_state_mutated();
   stage_ = Stage::kAttempting;
   attempts_received_.clear();
+  attempts_count_ = 0;
 
   // Reuse the previous attempt payload once its last outside reference
   // (the network's copy from the previous round 2) is gone.
-  if (!attempt_pool_ || attempt_pool_.use_count() > 1) {
-    attempt_pool_ = std::make_shared<AttemptPayload>();
-  }
-  attempt_pool_->proposal = proposed_;
+  reuse_payload(attempt_pool_).proposal = proposed_;
   stage(attempt_pool_);
 }
 
@@ -376,6 +381,7 @@ void YkdFamilyBase::load(Decoder& dec) {
   in_primary_ = dec.get_bool();
   blocked_ = dec.get_bool();
   current_view_ = View::decode(dec);
+  view_size_ = current_view_.members.count();
   const std::uint8_t raw_stage = dec.get_u8();
   if (raw_stage > static_cast<std::uint8_t>(Stage::kAttempting)) {
     throw DecodeError("bad YKD stage");
@@ -401,6 +407,7 @@ void YkdFamilyBase::load(Decoder& dec) {
   }
 
   attempts_received_ = ProcessSet::decode(dec);
+  attempts_count_ = arrivals_from(attempts_received_, current_view_.members);
   proposed_ = Session::decode(dec);
   const std::uint64_t staged = dec.get_varint();
   if (staged > 1'000'000) throw DecodeError("implausible outbox length");

@@ -135,7 +135,9 @@ class StateExchangeTable {
 class YkdFamilyBase : public PrimaryComponentAlgorithm {
  public:
   void view_changed(const View& view) override;
-  Message incoming_message(Message message, ProcessId sender) override;
+  /// The thesis API: receive(), then strip the payload.
+  Message incoming_message(Message message, ProcessId sender) final;
+  void receive(const Message& message, ProcessId sender) final;
   std::optional<Message> outgoing_message_poll(const Message& app) override;
   bool in_primary() const override { return in_primary_; }
   AlgorithmDebugInfo debug_info() const override;
@@ -216,6 +218,10 @@ class YkdFamilyBase : public PrimaryComponentAlgorithm {
 
   const View& current_view() const { return current_view_; }
 
+  /// |current_view().members|, cached when the view is installed so the
+  /// per-arrival quorum checks compare counts.
+  std::size_t view_size() const { return view_size_; }
+
   /// Is there combined-state proof that S was never formed by any member?
   bool provably_unformed(const Session& s, const StateMap& states) const;
 
@@ -258,8 +264,12 @@ class YkdFamilyBase : public PrimaryComponentAlgorithm {
   PruneMode prune_mode_;     // dvlint: transient(constructor configuration)
   bool filter_constraints_;  // dvlint: transient(constructor configuration)
   Stage stage_ = Stage::kIdle;
+  std::size_t view_size_ = 0;  // dvlint: transient(derived from current_view_)
   StateMap states_;
   ProcessSet attempts_received_;
+  /// |attempts_received_ ∩ members|, kept by add_arrival (quorum.hpp).
+  std::size_t
+      attempts_count_ = 0;  // dvlint: transient(derived from attempts_received_)
   Session proposed_;
   /// Staged payloads are appended and consumed front-to-back via
   /// outbox_head_; a vector + cursor (instead of a deque) keeps its storage

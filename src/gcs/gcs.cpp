@@ -63,9 +63,9 @@ const View& Gcs::view_of(ProcessId id) const {
 void Gcs::deliver(ProcessId recipient, const Message& message,
                   ProcessId sender) {
   ++deliveries_;
-  // The application-side return value (the stripped message) is dropped:
-  // the simulated application has no payload traffic of its own.
-  (void)algorithms_[recipient]->incoming_message(message, sender);
+  // By reference: the simulated application has no payload traffic of its
+  // own, so the stripped message incoming_message would return is waste.
+  algorithms_[recipient]->receive(message, sender);
 }
 
 void Gcs::record_send(const Message& message) {

@@ -14,6 +14,21 @@ bool ident_char(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
 }
 
+/// Is the quote at `text[i]` a C++14 digit separator (`100'000`,
+/// `0xFF'FF`)?  It is when the run of identifier characters and earlier
+/// separators just before it starts with a digit -- a number literal.  A
+/// run starting with a letter is a character-literal prefix (`u8'a'`).
+bool digit_separator(std::string_view text, std::size_t i) {
+  std::size_t start = i;
+  while (start > 0 &&
+         (ident_char(text[start - 1]) || text[start - 1] == '\'' ||
+          text[start - 1] == '.')) {
+    --start;
+  }
+  return start < i &&
+         std::isdigit(static_cast<unsigned char>(text[start])) != 0;
+}
+
 /// Pull every `dvlint: marker[, marker...]` out of one comment's text.
 void harvest_markers(std::string_view comment, std::vector<std::string>& out) {
   static constexpr std::string_view kTag = "dvlint:";
@@ -221,6 +236,10 @@ SourceFile load_source(const std::string& abs_path, std::string rel_path) {
           continue;
         }
       }
+    }
+    if (c == '\'' && digit_separator(text, i)) {
+      ++i;
+      continue;
     }
     if (c == '"' || c == '\'') {
       const char quote = c;

@@ -1,7 +1,7 @@
 // The allocation-free hot path, enforced: with the counting allocator
 // linked, warmed-up steady-state protocol rounds at n=64 must perform ZERO
-// heap allocations for YKD and 1-pending, and no more than today's pinned
-// per-round ceiling for DFLS and MR1p.  This is the regression fence for
+// heap allocations for every plotted algorithm (each one's ceiling is
+// pinned below at its measured count).  This is the regression fence for
 // the small-buffer ProcessSet, the FunctionRef callbacks, the pooled round
 // payloads and the cursor-based outboxes -- reintroducing an allocation
 // into any of them fails this test with an exact count.
@@ -94,9 +94,9 @@ INSTANTIATE_TEST_SUITE_P(
     PlottedAlgorithms, SteadyStateAllocs,
     ::testing::Values(
         SteadyCeiling{AlgorithmKind::kYkd, "Ykd", 0, false},
-        SteadyCeiling{AlgorithmKind::kDfls, "Dfls", 12, false},
+        SteadyCeiling{AlgorithmKind::kDfls, "Dfls", 0, false},
         SteadyCeiling{AlgorithmKind::kOnePending, "OnePending", 0, false},
-        SteadyCeiling{AlgorithmKind::kMr1p, "Mr1p", 16, false},
+        SteadyCeiling{AlgorithmKind::kMr1p, "Mr1p", 0, false},
         SteadyCeiling{AlgorithmKind::kSimpleMajority, "SimpleMajority", 0,
                       true}),
     [](const ::testing::TestParamInfo<SteadyCeiling>& ceiling) {

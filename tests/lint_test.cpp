@@ -120,6 +120,22 @@ TEST(LintFixtures, UngatedFormatMigrationCaught) {
   EXPECT_EQ(report.suppressed, 0u);
 }
 
+TEST(LintFixtures, PayloadFieldNeverEncodedCaught) {
+  const LintReport report = lint_fixture("payload_fields");
+  EXPECT_EQ(report.files_scanned, 2u);
+  ASSERT_EQ(report.findings.size(), 1u) << render_text(report);
+  const Finding& f = report.findings[0];
+  EXPECT_EQ(f.check, CheckId::kSnapshotCompleteness);
+  EXPECT_EQ(f.file, "core/unencoded_payload.hpp");
+  EXPECT_EQ(f.detail, "history");
+  EXPECT_NE(f.line, 0u);
+  EXPECT_NE(f.message.find("save path"), std::string::npos);
+  // Both files spell a bound with a digit separator (`100'000`); read as a
+  // character literal it would hide every definition after it.  The
+  // annotated twin (annotated_payload.hpp) must stay silent.
+  EXPECT_EQ(report.suppressed, 0u);
+}
+
 TEST(LintFixtures, GuardedByPairsCleanAndRacy) {
   const LintReport report = lint_fixture("guarded_by");
   EXPECT_EQ(report.files_scanned, 2u);
